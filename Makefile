@@ -4,10 +4,13 @@ GO ?= go
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the
-# long seed-sweeping soak.
+# long seed-sweeping soak. The harness runs sweep points concurrently, so
+# its determinism tests (every point bit-identical to a standalone run,
+# callbacks in input order) also run across core counts.
 verify: verify-race chaos
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -count 1 -cpu 1,2,4 -run 'Sweep|RunSeeds|RunAll' ./internal/harness
 
 # Tier 2: static analysis plus the full suite under the race detector.
 verify-race:

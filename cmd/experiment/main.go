@@ -83,51 +83,32 @@ func main() {
 		}
 	}
 
-	// Figures 1 and 2 come from the same sweep; cache it across series.
+	// Figures 1 and 2, the threshold and journey series all print the same
+	// sweep; run it once, on first use.
 	var sweep []harness.SweepPoint
-	getSweep := func(cfg harness.Config) ([]harness.SweepPoint, error) {
-		if sweep != nil {
-			return sweep, nil
-		}
-		var err error
-		sweep, err = harness.SweepRTT(cfg, rtts, func(p harness.SweepPoint) {
-			fmt.Fprintf(os.Stderr, "  rtt %v done (%d frames)\n", p.RTT, p.Result.Sites[0].Frames)
+	for _, ss := range []struct {
+		name  string
+		print func([]harness.SweepPoint)
+	}{
+		{"figure1", printFigure1},
+		{"figure2", printFigure2},
+		{"threshold", printThreshold},
+		{"journey", printJourney},
+	} {
+		run(ss.name, func(cfg harness.Config) error {
+			if sweep == nil {
+				var err error
+				sweep, err = harness.SweepRTT(cfg, rtts, func(p harness.SweepPoint) {
+					fmt.Fprintf(os.Stderr, "  rtt %v done (%d frames)\n", p.RTT, p.Result.Sites[0].Frames)
+				})
+				if err != nil {
+					return err
+				}
+			}
+			ss.print(sweep)
+			return nil
 		})
-		return sweep, err
 	}
-
-	run("figure1", func(cfg harness.Config) error {
-		points, err := getSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printFigure1(points)
-		return nil
-	})
-	run("figure2", func(cfg harness.Config) error {
-		points, err := getSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printFigure2(points)
-		return nil
-	})
-	run("threshold", func(cfg harness.Config) error {
-		points, err := getSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printThreshold(points)
-		return nil
-	})
-	run("journey", func(cfg harness.Config) error {
-		points, err := getSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printJourney(points)
-		return nil
-	})
 	run("ablation-timer", ablationTimer)
 	run("ablation-transport", ablationTransport)
 	run("ablation-rollback", ablationRollback)
@@ -283,84 +264,100 @@ func printThreshold(points []harness.SweepPoint) {
 	fmt.Printf("    = ~%.0f ms one-way => RTT ~%.0f ms\n", 100-syncAtKnee-15, 2*(100-syncAtKnee-15))
 }
 
-func ablationTimer(base harness.Config) error {
+// runTable runs cfgs concurrently (harness.RunAll), then prints a blank
+// line, the title lines and one row per result, in input order.
+func runTable(cfgs []harness.Config, title []string, row func(cfg harness.Config, res *harness.Result)) error {
+	results, err := harness.RunAll(cfgs, nil)
+	if err != nil {
+		return err
+	}
 	fmt.Println()
-	fmt.Println("Ablation — Algorithm 4 (master/slave pacing) vs naive waiting (§3.2)")
-	fmt.Println("  startup offset 120ms, RTT 80ms; frame-time deviation of the EARLIER site")
-	fmt.Println("  pacer        site0 MAD(ms)  site1 MAD(ms)  sync(ms)")
+	for _, line := range title {
+		fmt.Println(line)
+	}
+	for i, res := range results {
+		row(cfgs[i], res)
+	}
+	return nil
+}
+
+func ablationTimer(base harness.Config) error {
+	var cfgs []harness.Config
 	for _, naive := range []bool{false, true} {
 		cfg := base
 		cfg.RTT = 80 * time.Millisecond
 		cfg.StartOffset = 120 * time.Millisecond
 		cfg.SkipHandshake = true
 		cfg.NaivePacer = naive
-		res, err := harness.Run(cfg)
-		if err != nil {
-			return err
-		}
+		cfgs = append(cfgs, cfg)
+	}
+	return runTable(cfgs, []string{
+		"Ablation — Algorithm 4 (master/slave pacing) vs naive waiting (§3.2)",
+		"  startup offset 120ms, RTT 80ms; frame-time deviation of the EARLIER site",
+		"  pacer        site0 MAD(ms)  site1 MAD(ms)  sync(ms)",
+	}, func(cfg harness.Config, res *harness.Result) {
 		name := "algorithm-4"
-		if naive {
+		if cfg.NaivePacer {
 			name = "naive      "
 		}
 		fmt.Printf("  %s  %12.2f  %13.2f  %8.2f\n", name,
 			res.Sites[0].FrameTimes.MAD, res.Sites[1].FrameTimes.MAD, res.Sync.AbsMean)
-	}
-	return nil
+	})
 }
 
 func ablationTransport(base harness.Config) error {
-	fmt.Println()
-	fmt.Println("Ablation — UDP lockstep vs reliable in-order transport (§3.1)")
-	fmt.Println("  RTT 60ms; loss sweep; site-0 frame time mean / MAD / max (ms)")
-	fmt.Println("  loss   udp mean   udp MAD   udp max   arq mean   arq MAD   arq max")
+	var cfgs []harness.Config
 	for _, loss := range []float64{0, 0.01, 0.02, 0.05, 0.10} {
-		row := make([]float64, 0, 6)
 		for _, arq := range []bool{false, true} {
 			cfg := base
 			cfg.RTT = 60 * time.Millisecond
 			cfg.Loss = loss
 			cfg.ARQ = arq
-			res, err := harness.Run(cfg)
-			if err != nil {
-				return err
-			}
-			ft := res.Sites[0].FrameTimes
-			row = append(row, ft.Mean, ft.MAD, ft.Max)
+			cfgs = append(cfgs, cfg)
 		}
-		fmt.Printf("  %4.2f   %8.2f  %8.2f  %8.2f  %9.2f  %8.2f  %8.2f\n",
-			loss, row[0], row[1], row[2], row[3], row[4], row[5])
 	}
-	return nil
+	// One row per loss rate: the UDP run's columns, then the ARQ run's.
+	return runTable(cfgs, []string{
+		"Ablation — UDP lockstep vs reliable in-order transport (§3.1)",
+		"  RTT 60ms; loss sweep; site-0 frame time mean / MAD / max (ms)",
+		"  loss   udp mean   udp MAD   udp max   arq mean   arq MAD   arq max",
+	}, func(cfg harness.Config, res *harness.Result) {
+		ft := res.Sites[0].FrameTimes
+		if !cfg.ARQ {
+			fmt.Printf("  %4.2f   %8.2f  %8.2f  %8.2f", cfg.Loss, ft.Mean, ft.MAD, ft.Max)
+			return
+		}
+		fmt.Printf("  %9.2f  %8.2f  %8.2f\n", ft.Mean, ft.MAD, ft.Max)
+	})
 }
 
 func ablationRollback(base harness.Config) error {
-	fmt.Println()
-	fmt.Println("Ablation — lockstep (local lag) vs timewarp rollback (§5)")
-	fmt.Println("  The paper rejects timewarp because semantic-free rollback is expensive;")
-	fmt.Println("  this measures the trade at several RTTs (site 0, per 60s run).")
-	fmt.Println("  RTT(ms)  mode       FPS   input lag   rollbacks   replayed   snapshots(MB)   stalls")
+	var cfgs []harness.Config
 	for _, rtt := range []time.Duration{40 * time.Millisecond, 80 * time.Millisecond,
 		120 * time.Millisecond, 160 * time.Millisecond, 240 * time.Millisecond} {
 		for _, rb := range []bool{false, true} {
 			cfg := base
 			cfg.RTT = rtt
 			cfg.Rollback = rb
-			res, err := harness.Run(cfg)
-			if err != nil {
-				return err
-			}
-			s := res.Sites[0]
-			mode, lag := "lockstep", "100ms"
-			if rb {
-				mode, lag = "rollback", "0ms"
-			}
-			fmt.Printf("  %7.0f  %s  %5.1f   %9s   %9d   %8d   %13.1f   %6d\n",
-				float64(rtt)/float64(time.Millisecond), mode, s.FPS, lag,
-				s.Rollback.Rollbacks, s.Rollback.ReplayedFrames,
-				float64(s.Rollback.SnapshotBytes)/1e6, s.Rollback.StallFrames)
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	return nil
+	return runTable(cfgs, []string{
+		"Ablation — lockstep (local lag) vs timewarp rollback (§5)",
+		"  The paper rejects timewarp because semantic-free rollback is expensive;",
+		"  this measures the trade at several RTTs (site 0, per 60s run).",
+		"  RTT(ms)  mode       FPS   input lag   rollbacks   replayed   snapshots(MB)   stalls",
+	}, func(cfg harness.Config, res *harness.Result) {
+		s := res.Sites[0]
+		mode, lag := "lockstep", "100ms"
+		if cfg.Rollback {
+			mode, lag = "rollback", "0ms"
+		}
+		fmt.Printf("  %7.0f  %s  %5.1f   %9s   %9d   %8d   %13.1f   %6d\n",
+			float64(cfg.RTT)/float64(time.Millisecond), mode, s.FPS, lag,
+			s.Rollback.Rollbacks, s.Rollback.ReplayedFrames,
+			float64(s.Rollback.SnapshotBytes)/1e6, s.Rollback.StallFrames)
+	})
 }
 
 func lossSweep(base harness.Config) error {
@@ -386,47 +383,46 @@ func lossSweep(base harness.Config) error {
 }
 
 func ablationAdaptiveLag(base harness.Config) error {
-	fmt.Println()
-	fmt.Println("Ablation — fixed 100ms local lag vs adaptive lag (§4.2)")
-	fmt.Println("  The paper fixes the lag, arguing adaptation \"does not pay off\".")
-	fmt.Println("  scenario              lag mode   avg lag(frames)   changes   MAD(ms)    FPS")
 	type scenario struct {
 		name  string
 		rtt   time.Duration
 		swing time.Duration
 	}
-	for _, sc := range []scenario{
+	scenarios := []scenario{
 		{"steady RTT 40ms  ", 40 * time.Millisecond, 0},
 		{"steady RTT 120ms ", 120 * time.Millisecond, 0},
 		{"steady RTT 200ms ", 200 * time.Millisecond, 0},
 		{"swinging 60/200ms", 60 * time.Millisecond, 140 * time.Millisecond},
-	} {
+	}
+	var cfgs []harness.Config
+	for _, sc := range scenarios {
 		for _, adaptive := range []bool{false, true} {
 			cfg := base
 			cfg.RTT = sc.rtt
 			cfg.RTTSwing = sc.swing
 			cfg.AdaptiveLag = adaptive
-			res, err := harness.Run(cfg)
-			if err != nil {
-				return err
-			}
-			s := res.Sites[0]
-			mode, avgLag := "fixed   ", 6.0
-			if adaptive {
-				mode, avgLag = "adaptive", s.AvgLag
-			}
-			fmt.Printf("  %s   %s   %15.1f   %7d   %7.2f   %5.1f\n",
-				sc.name, mode, avgLag, s.LagChanges, s.FrameTimes.MAD, s.FPS)
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	return nil
+	row := 0
+	return runTable(cfgs, []string{
+		"Ablation — fixed 100ms local lag vs adaptive lag (§4.2)",
+		"  The paper fixes the lag, arguing adaptation \"does not pay off\".",
+		"  scenario              lag mode   avg lag(frames)   changes   MAD(ms)    FPS",
+	}, func(cfg harness.Config, res *harness.Result) {
+		s := res.Sites[0]
+		mode, avgLag := "fixed   ", 6.0
+		if cfg.AdaptiveLag {
+			mode, avgLag = "adaptive", s.AvgLag
+		}
+		fmt.Printf("  %s   %s   %15.1f   %7d   %7.2f   %5.1f\n",
+			scenarios[row/2].name, mode, avgLag, s.LagChanges, s.FrameTimes.MAD, s.FPS)
+		row++
+	})
 }
 
 func burstLoss(base harness.Config) error {
-	fmt.Println()
-	fmt.Println("Extension — bursty vs independent loss (journal version, §6)")
-	fmt.Println("  RTT 60ms; Gilbert-Elliott bursts (mean length 6) at the same long-run rate")
-	fmt.Println("  loss   process      frame(ms)   MAD(ms)   max(ms)   converged")
+	var cfgs []harness.Config
 	for _, loss := range []float64{0.02, 0.05, 0.10} {
 		for _, burst := range []bool{false, true} {
 			cfg := base
@@ -434,41 +430,46 @@ func burstLoss(base harness.Config) error {
 			cfg.Loss = loss
 			cfg.BurstLoss = burst
 			cfg.MeanBurst = 6
-			res, err := harness.Run(cfg)
-			if err != nil {
-				return err
-			}
-			name := "independent"
-			if burst {
-				name = "bursty     "
-			}
-			s := res.Sites[0].FrameTimes
-			fmt.Printf("  %4.2f   %s  %9.2f  %8.2f  %8.2f   %v\n",
-				loss, name, s.Mean, s.MAD, s.Max, res.Converged)
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	return nil
+	return runTable(cfgs, []string{
+		"Extension — bursty vs independent loss (journal version, §6)",
+		"  RTT 60ms; Gilbert-Elliott bursts (mean length 6) at the same long-run rate",
+		"  loss   process      frame(ms)   MAD(ms)   max(ms)   converged",
+	}, func(cfg harness.Config, res *harness.Result) {
+		name := "independent"
+		if cfg.BurstLoss {
+			name = "bursty     "
+		}
+		s := res.Sites[0].FrameTimes
+		fmt.Printf("  %4.2f   %s  %9.2f  %8.2f  %8.2f   %v\n",
+			cfg.Loss, name, s.Mean, s.MAD, s.Max, res.Converged)
+	})
 }
 
 func bandwidth(base harness.Config) error {
-	fmt.Println()
-	fmt.Println("Extension — bandwidth vs send pacing (§4.2's interactivity/resource balance)")
-	fmt.Println("  RTT 150ms (near the knee); per-site uplink over a 60s run")
-	fmt.Println("  interval   msgs/s   KB/s up   frame(ms)   MAD(ms)")
+	var cfgs []harness.Config
 	for _, ivl := range []time.Duration{5 * time.Millisecond, 10 * time.Millisecond,
 		20 * time.Millisecond, 40 * time.Millisecond} {
 		cfg := base
 		cfg.RTT = 150 * time.Millisecond
 		cfg.SendInterval = ivl
-		res, err := harness.Run(cfg)
-		if err != nil {
-			return err
-		}
+		cfgs = append(cfgs, cfg)
+	}
+	err := runTable(cfgs, []string{
+		"Extension — bandwidth vs send pacing (§4.2's interactivity/resource balance)",
+		"  RTT 150ms (near the knee); per-site uplink over a 60s run",
+		"  interval   msgs/s   KB/s up   frame(ms)   MAD(ms)",
+	}, func(cfg harness.Config, res *harness.Result) {
 		s := res.Sites[0]
 		secs := res.Elapsed.Seconds()
 		fmt.Printf("  %8v   %6.1f   %7.2f   %9.2f  %8.2f\n",
-			ivl, float64(s.Stats.MsgsSent)/secs, float64(s.Stats.BytesSent)/1024/secs,
+			cfg.SendInterval, float64(s.Stats.MsgsSent)/secs, float64(s.Stats.BytesSent)/1024/secs,
 			s.FrameTimes.Mean, s.FrameTimes.MAD)
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Println("  (the paper fixes the interval at 20ms: \"strike a balance between")
 	fmt.Println("   interactivity and utilization of system resources\")")
@@ -498,20 +499,19 @@ func seedSensitivity(base harness.Config) error {
 }
 
 func multisite(base harness.Config) error {
-	fmt.Println()
-	fmt.Println("Extension — observers (journal version, §6)")
-	fmt.Println("  RTT 60ms; N spectator sites receive forwarded merged inputs")
-	fmt.Println("  observers   player FPS   all converged   virtual elapsed")
-	for _, obs := range []int{0, 1, 2, 4} {
+	var cfgs []harness.Config
+	for _, n := range []int{0, 1, 2, 4} {
 		cfg := base
 		cfg.RTT = 60 * time.Millisecond
-		cfg.Observers = obs
-		res, err := harness.Run(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %9d   %10.1f   %13v   %v\n",
-			obs, res.Sites[0].FPS, res.Converged, res.Elapsed.Round(time.Millisecond))
+		cfg.Observers = n
+		cfgs = append(cfgs, cfg)
 	}
-	return nil
+	return runTable(cfgs, []string{
+		"Extension — observers (journal version, §6)",
+		"  RTT 60ms; N spectator sites receive forwarded merged inputs",
+		"  observers   player FPS   all converged   virtual elapsed",
+	}, func(cfg harness.Config, res *harness.Result) {
+		fmt.Printf("  %9d   %10.1f   %13v   %v\n",
+			cfg.Observers, res.Sites[0].FPS, res.Converged, res.Elapsed.Round(time.Millisecond))
+	})
 }

@@ -21,22 +21,22 @@ func main() {
 	base.Seed = 7
 	base.Game = "tanks"
 
-	fmt.Println("RTT      frame time   deviation    FPS    cross-site sync")
-	for _, rtt := range []time.Duration{
+	// Each RTT is an independent virtual-time world; SweepRTT runs them
+	// concurrently and returns them in order.
+	points, err := harness.SweepRTT(base, []time.Duration{
 		0,
 		50 * time.Millisecond,
 		100 * time.Millisecond,
 		140 * time.Millisecond, // the paper's recommended maximum
 		180 * time.Millisecond,
 		250 * time.Millisecond,
-	} {
-		cfg := base
-		cfg.RTT = rtt
-		res, err := harness.Run(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := res.Sites[0]
+	}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("RTT      frame time   deviation    FPS    cross-site sync")
+	for _, p := range points {
+		s := p.Result.Sites[0]
 		verdict := "smooth"
 		switch {
 		case s.FrameTimes.MAD > 5 && s.FPS > 55:
@@ -45,7 +45,7 @@ func main() {
 			verdict = "slowed down"
 		}
 		fmt.Printf("%-7v  %7.2f ms   %6.2f ms   %5.1f   %8.2f ms   (%s)\n",
-			rtt, s.FrameTimes.Mean, s.FrameTimes.MAD, s.FPS, res.Sync.AbsMean, verdict)
+			p.RTT, s.FrameTimes.Mean, s.FrameTimes.MAD, s.FPS, p.Result.Sync.AbsMean, verdict)
 	}
 	fmt.Println("\nthe paper recommends RTT <= 140 ms for systems built this way (§4.1)")
 }

@@ -577,6 +577,9 @@ func Run(sc Scenario) (*Report, error) {
 	var hashes [2][]uint64
 	var errs [2]error
 	var done [2]<-chan struct{}
+	// Hold the clock as an actor until both sites are registered, so the
+	// first cannot park and run the phase schedule forward alone.
+	v.AddActor()
 	for site := 0; site < 2; site++ {
 		site := site
 		hashes[site] = make([]uint64, 0, sc.Frames)
@@ -598,6 +601,7 @@ func Run(sc Scenario) (*Report, error) {
 			sessions[site].Drain(5 * time.Second)
 		})
 	}
+	v.DoneActor()
 	<-done[0]
 	<-done[1]
 	snaps[nph] = take()

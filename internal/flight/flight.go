@@ -264,7 +264,7 @@ func (r *Recorder) Incident(kind core.IncidentKind, cause error) {
 		path := filepath.Join(r.opts.Dir, name)
 		err := os.MkdirAll(r.opts.Dir, 0o755)
 		if err == nil {
-			err = os.WriteFile(path, r.Bundle(), 0o644)
+			err = writeFileAtomic(path, r.Bundle())
 		}
 		r.mu.Lock()
 		if err != nil {
@@ -274,6 +274,31 @@ func (r *Recorder) Incident(kind core.IncidentKind, cause error) {
 		}
 		r.mu.Unlock()
 	}
+}
+
+// writeFileAtomic writes data to a temporary file in path's directory and
+// renames it over path, so a reader — or a concurrent writer of the same
+// name, such as two sessions sharing RETROLOCK_FLIGHT_DIR — never sees a
+// torn bundle.
+func writeFileAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(f.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // buildLocked assembles the bundle from the live rings. Caller holds r.mu.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -486,5 +487,53 @@ func TestSnapshotFallbackWithoutDeltaSupport(t *testing.T) {
 		if wantState := byte(s.Frame) + 1; len(s.State) != 1 || s.State[0] != wantState {
 			t.Errorf("snapshot %d: state %v, want [%d]", i, s.State, wantState)
 		}
+	}
+}
+
+// TestConcurrentIncidentsSameNameNeverTear: two sessions sharing a flight
+// directory can auto-write the same bundle name at once (same site, kind and
+// frame). Whichever write lands last, the file must be one whole bundle.
+func TestConcurrentIncidentsSameNameNeverTear(t *testing.T) {
+	dir := t.TempDir()
+	const name = "flight-site0-desync-f21.rkfb"
+	for iter := 0; iter < 20; iter++ {
+		// Different window sizes give the two bundles different lengths, so
+		// interleaved writes would show as a damaged trailer.
+		small, _ := recordRun(t, flight.Options{Site: 0, Dir: dir, InputWindow: 4, SnapEvery: -1}, 20, 0, 0, 0)
+		large, _ := recordRun(t, flight.Options{Site: 0, Dir: dir, SnapEvery: 2, Snapshots: 8}, 20, 0, 0, 0)
+		var wg sync.WaitGroup
+		for _, rec := range []*flight.Recorder{small, large} {
+			wg.Add(1)
+			go func(rec *flight.Recorder) {
+				defer wg.Done()
+				rec.Incident(core.IncidentDesync, fmt.Errorf("synthetic divergence"))
+			}(rec)
+		}
+		wg.Wait()
+		for _, rec := range []*flight.Recorder{small, large} {
+			if err := rec.WriteErr(); err != nil {
+				t.Fatal(err)
+			}
+			if got := filepath.Base(rec.BundlePath()); got != name {
+				t.Fatalf("bundle name %q, want %q", got, name)
+			}
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := flight.Decode(data); err != nil {
+			t.Fatalf("iteration %d: concurrently written bundle does not decode: %v", iter, err)
+		}
+		if !bytes.Equal(data, small.Bundle()) && !bytes.Equal(data, large.Bundle()) {
+			t.Fatalf("iteration %d: bundle on disk is neither writer's", iter)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("flight dir holds %d entries, want only %s (no temp files left)", len(entries), name)
 	}
 }

@@ -139,7 +139,9 @@ type Config struct {
 	// off) the emulated WAN into this RKCP recorder — below the ARQ layer,
 	// so the capture shows retransmissions and duplicates as they crossed
 	// the wire. Virtual-time runs produce bit-identical captures for
-	// identical configs.
+	// identical configs. A recorder shared by the points of one RunAll (or
+	// sweep) records them in input order: when any config sets Capture,
+	// RunAll runs the points one at a time.
 	Capture *capture.Recorder
 }
 
@@ -375,7 +377,6 @@ func Run(cfg Config) (*Result, error) {
 	// round trip, §4.1.2).
 	tsEP := net.MustBind("timeserver")
 	ts := timeserver.NewServer(tsEP, v)
-	tsDone := v.Go(ts.Run)
 	reporters := make([]*simnet.Endpoint, 0, 2+cfg.Observers)
 
 	totalSites := 2 + cfg.Observers
@@ -534,7 +535,12 @@ func Run(cfg Config) (*Result, error) {
 		health.Register(reg, 0)
 	}
 
+	// This goroutine holds the clock as an actor until every actor is
+	// registered: otherwise the first one could park and advance virtual
+	// time alone, and where the sites start would depend on scheduling.
+	v.AddActor()
 	start := v.Now()
+	tsDone := v.Go(ts.Run)
 	done := make([]<-chan struct{}, totalSites)
 	for site := 0; site < totalSites; site++ {
 		site := site
@@ -580,6 +586,7 @@ func Run(cfg Config) (*Result, error) {
 			st.session.Drain(5 * time.Second)
 		})
 	}
+	v.DoneActor()
 	for site := 0; site < totalSites; site++ {
 		<-done[site]
 	}
@@ -673,20 +680,20 @@ type MultiRun struct {
 	Converged bool            // true only if every run converged
 }
 
-// RunSeeds executes cfg under n different seeds.
+// RunSeeds executes cfg under n different seeds, concurrently (see RunAll).
 func RunSeeds(cfg Config, n int) (*MultiRun, error) {
-	if n < 1 {
-		n = 1
+	cfgs := make([]Config, max(n, 1))
+	for i := range cfgs {
+		cfgs[i] = cfg
+		cfgs[i].Seed = cfg.Seed + int64(i)*1000
+	}
+	results, err := RunAll(cfgs, nil)
+	if err != nil {
+		return nil, fmt.Errorf("harness: seed %d: %w", cfgs[len(results)].Seed, err)
 	}
 	out := &MultiRun{Converged: true}
 	var ft, dev, sync metrics.Series
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*1000
-		res, err := Run(c)
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", c.Seed, err)
-		}
+	for _, res := range results {
 		ft.Add(res.Sites[0].FrameTimes.Mean)
 		dev.Add(res.Sites[0].FrameTimes.MAD)
 		sync.Add(res.Sync.AbsMean)
@@ -719,40 +726,49 @@ func PaperRTTs() []time.Duration {
 	return out
 }
 
-// SweepRTT runs base at every RTT. onPoint, when non-nil, observes each
-// completed point (for progress output).
+// SweepRTT runs base at every RTT, concurrently (see RunAll). onPoint, when
+// non-nil, observes each completed point in RTT order (for progress output).
+// On failure it returns the points before the failing RTT.
 func SweepRTT(base Config, rtts []time.Duration, onPoint func(SweepPoint)) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(rtts))
-	for _, rtt := range rtts {
-		cfg := base
-		cfg.RTT = rtt
-		res, err := Run(cfg)
-		if err != nil {
-			return out, fmt.Errorf("harness: rtt %v: %w", rtt, err)
-		}
-		p := SweepPoint{RTT: rtt, Result: res}
-		out = append(out, p)
-		if onPoint != nil {
-			onPoint(p)
-		}
+	cfgs := make([]Config, len(rtts))
+	for i, rtt := range rtts {
+		cfgs[i] = base
+		cfgs[i].RTT = rtt
+	}
+	var cb func(int, *Result)
+	if onPoint != nil {
+		cb = func(i int, r *Result) { onPoint(SweepPoint{RTT: rtts[i], Result: r}) }
+	}
+	results, err := RunAll(cfgs, cb)
+	out := make([]SweepPoint, len(results))
+	for i, r := range results {
+		out[i] = SweepPoint{RTT: rtts[i], Result: r}
+	}
+	if err != nil {
+		return out, fmt.Errorf("harness: rtt %v: %w", rtts[len(results)], err)
 	}
 	return out, nil
 }
 
-// SweepLoss runs base at every loss rate (journal extension experiment).
+// SweepLoss runs base at every loss rate (journal extension experiment),
+// concurrently (see RunAll); onPoint observes the points in input order.
 func SweepLoss(base Config, losses []float64, onPoint func(float64, *Result)) (map[float64]*Result, error) {
+	cfgs := make([]Config, len(losses))
+	for i, loss := range losses {
+		cfgs[i] = base
+		cfgs[i].Loss = loss
+	}
+	var cb func(int, *Result)
+	if onPoint != nil {
+		cb = func(i int, r *Result) { onPoint(losses[i], r) }
+	}
+	results, err := RunAll(cfgs, cb)
 	out := make(map[float64]*Result, len(losses))
-	for _, loss := range losses {
-		cfg := base
-		cfg.Loss = loss
-		res, err := Run(cfg)
-		if err != nil {
-			return out, fmt.Errorf("harness: loss %.3f: %w", loss, err)
-		}
-		out[loss] = res
-		if onPoint != nil {
-			onPoint(loss, res)
-		}
+	for i, r := range results {
+		out[losses[i]] = r
+	}
+	if err != nil {
+		return out, fmt.Errorf("harness: loss %.3f: %w", losses[len(results)], err)
 	}
 	return out, nil
 }
